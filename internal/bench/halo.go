@@ -30,16 +30,18 @@ import (
 //
 //   - zerocopy: the default datapath. Same-process pairs move
 //     strided-to-strided with no intermediate packed buffer (pack
-//     elision); cross-node pairs stream packed segments down the wire
-//     without ever materializing the full slab.
+//     elision); cross-node pairs pack each slab whole into a pooled
+//     buffer and send it as one frame.
 //   - packed: Config.ForcePack — every typed transfer packs into a
 //     pooled staging buffer first, the classic MPI implementation the
-//     paper's shared address space makes unnecessary.
+//     paper's shared address space makes unnecessary. Cross-node pairs
+//     pack under both ablations, so on the wire deployment the two cells
+//     differ only in the same-process pairs.
 //
 //   - inproc: all 8 ranks in one World (every exchange can elide).
 //   - wire: the cube split across two Worlds joined by loopback TCP
-//     (z-plane cut: intra-plane neighbors elide, cross-plane slabs take
-//     the typed rendezvous streaming path).
+//     (z-plane cut: intra-plane neighbors elide, cross-plane slabs are
+//     packed into typed eager or rendezvous frames).
 //
 // The digest of every rank's block after a fixed relaxation phase must
 // be bitwise identical across all four cells — the ablations may only

@@ -4,42 +4,16 @@ package mpi
 // a recursive-doubling allreduce. Kept apart from collectives.go to keep
 // the core algorithms readable.
 
-// Ssend is the synchronous-mode send: it always completes only when the
-// receiver has matched the message, regardless of size (the rendezvous
-// path is forced). The happens-before edge it creates is what §III's
-// analysis relies on for synchronization-by-message.
+// Ssend is the synchronous-mode send: it completes only when the
+// receiver has matched the message, at any size and against any receive
+// (Recv, Irecv, RecvTyped). It forces the rendezvous protocol, whose
+// handshake is the acknowledgement: in-process delivery completes the
+// send, and over the wire the receiver's CTS does. The happens-before
+// edge it creates is what §III's analysis relies on for
+// synchronization-by-message.
 func Ssend[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) {
 	comm = t.commOrWorld(comm)
-	// Messages above the eager limit already synchronize (Send blocks
-	// until the receiver copies). Small messages add an acknowledgement
-	// token on the communicator's private sync context, which RecvSsend
-	// returns after matching.
-	if len(buf)*elemSize[T]() > t.world.cfg.EagerLimit {
-		Send(t, comm, buf, dst, tag)
-		return
-	}
-	Send(t, comm, buf, dst, tag)
-	var token [0]byte
-	req := irecv(t, comm, comm.ctxSync, token[:], dst, tag, "Ssend")
-	t.blockOn("Ssend acknowledgement")
-	req.Wait()
-	t.unblock()
-	t.checkReq("Ssend", req)
-}
-
-// RecvSsend matches an Ssend of a small message: Recv plus the
-// acknowledgement token. Large Ssends are plain Recvs.
-func RecvSsend[T Scalar](t *Task, comm *Comm, buf []T, src, tag int) Status {
-	comm = t.commOrWorld(comm)
-	st := Recv(t, comm, buf, src, tag)
-	if st.Bytes <= t.world.cfg.EagerLimit {
-		var token [0]byte
-		if req := isend(t, comm, comm.ctxSync, token[:], st.Source, tag, "RecvSsend"); req != nil {
-			req.Wait()
-			t.checkReq("RecvSsend", req)
-		}
-	}
-	return st
+	t.waitSend(isendDT(t, comm, comm.ctxUser, buf, nil, dst, tag, "Ssend", true), "Ssend", dst, tag)
 }
 
 // Allgatherv is Allgather with per-rank counts and displacements (in

@@ -8,10 +8,11 @@ import (
 )
 
 func TestSsendSynchronizes(t *testing.T) {
-	// A small Ssend must not complete before the receiver matches it.
+	// A small Ssend must not complete before the receiver matches it,
+	// and a plain Recv is all the receiver needs.
 	var order []string
 	done := make(chan struct{})
-	_, err := Run(Config{NumTasks: 2, Timeout: 30 * time.Second}, func(task *Task) error {
+	w, err := Run(Config{NumTasks: 2, Timeout: 30 * time.Second}, func(task *Task) error {
 		if task.Rank() == 0 {
 			Ssend(task, nil, []int{7}, 1, 0)
 			order = append(order, "send-complete")
@@ -24,7 +25,7 @@ func TestSsendSynchronizes(t *testing.T) {
 			default:
 			}
 			buf := make([]int, 1)
-			RecvSsend(task, nil, buf, 0, 0)
+			Recv(task, nil, buf, 0, 0)
 			if buf[0] != 7 {
 				return fmt.Errorf("payload %d", buf[0])
 			}
@@ -34,20 +35,26 @@ func TestSsendSynchronizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := w.Stats().Rendezvous; n != 1 {
+		t.Fatalf("%d rendezvous messages, want the forced one", n)
+	}
 }
 
 func TestSsendLargeUsesRendezvous(t *testing.T) {
-	_, err := Run(Config{NumTasks: 2, Timeout: 30 * time.Second}, func(task *Task) error {
+	w, err := Run(Config{NumTasks: 2, Timeout: 30 * time.Second}, func(task *Task) error {
 		big := make([]float64, 4096)
 		if task.Rank() == 0 {
 			Ssend(task, nil, big, 1, 0)
 		} else {
-			RecvSsend(task, nil, big, 0, 0)
+			Recv(task, nil, big, 0, 0)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := w.Stats().Rendezvous; n != 1 {
+		t.Fatalf("%d rendezvous messages, want 1", n)
 	}
 }
 

@@ -20,7 +20,6 @@ type Comm struct {
 	rankIndex map[int]int
 	ctxUser   int64
 	ctxColl   int64
-	ctxSync   int64 // synchronous-send acknowledgements
 
 	// shm is the shared-address-space collective fast path of this
 	// communicator, non-nil iff the world runs with it enabled.
@@ -93,7 +92,7 @@ var commRegistry struct {
 // across members (Dup/Split construct them from collective-ordered
 // sequence numbers), so hashing the key gives each process the same
 // values. The hash is shifted left by commCtxStride so the id and the
-// three contexts occupy consecutive integers, and bit 62 is set to keep
+// two contexts occupy consecutive integers, and bit 62 is set to keep
 // hashed values disjoint from the small counter-allocated ones (the
 // world communicator's), with bit 63 clear so contexts stay positive.
 const commCtxStride = 4

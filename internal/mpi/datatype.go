@@ -3,19 +3,18 @@ package mpi
 // Derived datatypes: the strided-transfer layer of the runtime (ROADMAP
 // item 4). A Datatype describes a non-contiguous selection of elements
 // inside a user buffer — a strided vector, an N-dimensional subarray —
-// with the MPI commit/size/extent semantics. Typed transfers take three
-// escalating datapaths:
+// with the MPI commit/size/extent semantics. Typed transfers take one
+// of two datapaths:
 //
 //  1. generic pack/unpack through a pooled eager buffer (the classic
-//     MPI_Pack datapath, zero-alloc thanks to the size-classed pool);
+//     MPI_Pack datapath, zero-alloc thanks to the size-classed pool).
+//     Every transfer to another process takes it: eager and rendezvous
+//     payloads alike cross the wire packed whole, in one frame;
 //  2. pack elision on the shared address space: when sender and receiver
 //     live in one process, the payload moves strided-to-strided between
 //     the two user buffers with no intermediate at all, counted by
 //     Stats().PackElisions and the OnPackElided hook — the HLS paper's
-//     copy-removal argument applied to datatype packing;
-//  3. on the wire, rendezvous payloads stream as pipelined packed chunks
-//     (TypeDataSeg frames), so a large subarray never materializes fully
-//     packed on either side.
+//     copy-removal argument applied to datatype packing.
 //
 // A Datatype is immutable after Commit and safe for concurrent use by
 // any number of sends and receives.
@@ -305,34 +304,8 @@ func dtUnpack(dst, src []byte, d *Datatype, esz int) {
 	}
 }
 
-// dtPackRange packs the packed-element index range [lo, hi) of layout d
-// from src into dst — the wire path's pipelined chunking, which never
-// materializes the full packed payload.
-func dtPackRange(dst, src []byte, d *Datatype, esz, lo, hi int) {
-	var it runIter
-	it.init(d)
-	pos, w := 0, 0
-	for pos < hi {
-		off, n := it.next()
-		if n == 0 {
-			return
-		}
-		runLo, runHi := pos, pos+n
-		pos = runHi
-		if runHi <= lo {
-			continue
-		}
-		s, e := max(lo, runLo), min(hi, runHi)
-		if e <= s {
-			continue
-		}
-		copy(dst[w:w+(e-s)*esz], src[(off+s-runLo)*esz:(off+e-runLo)*esz])
-		w += (e - s) * esz
-	}
-}
-
-// dtUnpackRange is dtPackRange's inverse: src holds the packed elements
-// [lo, hi) of layout d, scattered into dst.
+// dtUnpackRange scatters the packed-element index range [lo, hi) of
+// layout d from src (which holds just those elements) into dst.
 func dtUnpackRange(dst, src []byte, d *Datatype, esz, lo, hi int) {
 	var it runIter
 	it.init(d)

@@ -141,9 +141,10 @@ type Config struct {
 	EagerLimit int
 	// ForcePack disables the typed-transfer pack elision: every derived-
 	// datatype payload is packed into an intermediate buffer even when
-	// sender and receiver share the address space. It exists as the
-	// ablation knob for the halo benchmark (packed vs zero-copy) and
-	// should stay false in production use.
+	// sender and receiver share the address space. Payloads to another
+	// process are always packed, so it changes same-process pairs only.
+	// It exists as the ablation knob for the halo benchmark (packed vs
+	// zero-copy) and should stay false in production use.
 	ForcePack bool
 	// Hooks, if non-nil, is invoked on every message.
 	Hooks Hooks
@@ -424,12 +425,10 @@ func (w *World) newCommKeyed(key string, group []int) *Comm {
 		c.id = base
 		c.ctxUser = base + 1
 		c.ctxColl = base + 2
-		c.ctxSync = base + 3
 	} else {
 		c.id = w.commID.Add(1)
 		c.ctxUser = w.ctxCounter.Add(1)
 		c.ctxColl = w.ctxCounter.Add(1)
-		c.ctxSync = w.ctxCounter.Add(1)
 	}
 	if w.shmOn {
 		c.shm = newShmColl(w, c, nil)

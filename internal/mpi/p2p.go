@@ -38,29 +38,35 @@ var (
 // has matched the message (synchronizing semantics, like MPI_Ssend).
 func Send[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) {
 	comm = t.commOrWorld(comm)
-	req := isend(t, comm, comm.ctxUser, buf, dst, tag, "Send")
-	if req != nil {
-		if _, done := req.Test(); done {
-			// The receiver had already posted: the rendezvous completed
-			// inside isend and there is no wait to publish or trace.
-			t.checkReq("Send", req)
-			putRequest(req)
-			return
-		}
-		t.blockOnP2P(labelSend, dst, tag)
-		req.Wait()
-		if th := t.world.traceHooks; th != nil {
-			// The wait effectively began at the send timestamp: isend
-			// returns within nanoseconds of stamping it. The end is read
-			// here, after the park — under load the scheduler wake-up is
-			// a real part of the caller's blocked time, and only this
-			// slice can see it (the flow pair ends at delivery).
-			th.SpanWait(t.rank, "send", req.span, req.sendNs)
-		}
-		t.unblock()
-		t.checkReq("Send", req)
-		putRequest(req)
+	t.waitSend(isend(t, comm, comm.ctxUser, buf, dst, tag, "Send"), "Send", dst, tag)
+}
+
+// waitSend blocks a Send-family call on its rendezvous request until the
+// receiver has matched; a nil request (an eager send) is already done.
+func (t *Task) waitSend(req *Request, op string, dst, tag int) {
+	if req == nil {
+		return
 	}
+	if _, done := req.Test(); done {
+		// The receiver had already posted: the rendezvous completed
+		// inside isend and there is no wait to publish or trace.
+		t.checkReq(op, req)
+		putRequest(req)
+		return
+	}
+	t.blockOnP2P(labelSend, dst, tag)
+	req.Wait()
+	if th := t.world.traceHooks; th != nil {
+		// The wait effectively began at the send timestamp: isend
+		// returns within nanoseconds of stamping it. The end is read
+		// here, after the park — under load the scheduler wake-up is
+		// a real part of the caller's blocked time, and only this
+		// slice can see it (the flow pair ends at delivery).
+		th.SpanWait(t.rank, "send", req.span, req.sendNs)
+	}
+	t.unblock()
+	t.checkReq(op, req)
+	putRequest(req)
 }
 
 // Isend starts a nonblocking send and returns its Request. Eager sends
@@ -78,14 +84,15 @@ func Isend[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) *Request {
 // isend implements Send/Isend on an explicit context. It returns a non-nil
 // request only for rendezvous sends (eager sends are already complete).
 func isend[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dst, tag int, op string) *Request {
-	return isendDT(t, comm, ctx, buf, nil, dst, tag, op)
+	return isendDT(t, comm, ctx, buf, nil, dst, tag, op, false)
 }
 
 // isendDT is isend with a derived datatype describing which elements of
 // buf to send (nil = all of it, contiguously). Non-strided datatypes are
 // normalized to the contiguous datapath here, so they cost nothing
-// downstream.
-func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, dst, tag int, op string) *Request {
+// downstream. synchronous forces the rendezvous protocol at any size
+// (Ssend): the send then completes only once the receiver has matched.
+func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, dst, tag int, op string, synchronous bool) *Request {
 	w := t.world
 	if comm == nil {
 		comm = w.world
@@ -137,7 +144,7 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 	}
 
 	var sreq *Request
-	if bytes > w.cfg.EagerLimit {
+	if synchronous || bytes > w.cfg.EagerLimit {
 		// Rendezvous: the message keeps viewing the sender's buffer; the
 		// sender's request completes at delivery time and Send blocks on it.
 		msg.rendezvous = true

@@ -13,28 +13,13 @@ package mpi
 // immediately, rendezvous sends block until the receiver matches.
 func SendTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, dst, tag int) {
 	comm = t.commOrWorld(comm)
-	req := isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "SendTyped")
-	if req != nil {
-		if _, done := req.Test(); done {
-			t.checkReq("SendTyped", req)
-			putRequest(req)
-			return
-		}
-		t.blockOnP2P(labelSend, dst, tag)
-		req.Wait()
-		if th := t.world.traceHooks; th != nil {
-			th.SpanWait(t.rank, "send", req.span, req.sendNs)
-		}
-		t.unblock()
-		t.checkReq("SendTyped", req)
-		putRequest(req)
-	}
+	t.waitSend(isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "SendTyped", false), "SendTyped", dst, tag)
 }
 
 // IsendTyped starts a nonblocking typed send and returns its Request.
 func IsendTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, dst, tag int) *Request {
 	comm = t.commOrWorld(comm)
-	req := isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "IsendTyped")
+	req := isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "IsendTyped", false)
 	if req == nil {
 		req = newRequest(false)
 		req.complete(Status{})

@@ -55,7 +55,7 @@ func runCollectiveWorkload(t *testing.T, perNode int, mode CollectiveMode) ([][]
 	t.Helper()
 	results := make([][]int64, 2*perNode)
 	var mu sync.Mutex
-	w0, w1, err0, err1 := runWirePairMode(t, perNode, mode, collectiveWorkload(results, &mu))
+	w0, w1, err0, err1 := runWirePairWith(t, perNode, Config{Collectives: mode}, collectiveWorkload(results, &mu))
 	if err0 != nil || err1 != nil {
 		t.Fatalf("mode %v: err0=%v err1=%v", mode, err0, err1)
 	}
@@ -146,7 +146,7 @@ func TestTwoLevelDerivedComms(t *testing.T) {
 		Barrier(task, c)
 		return nil
 	}
-	_, _, err0, err1 := runWirePairMode(t, perNode, CollTwoLevel, fn)
+	_, _, err0, err1 := runWirePairWith(t, perNode, Config{Collectives: CollTwoLevel}, fn)
 	if err0 != nil || err1 != nil {
 		t.Fatalf("err0=%v err1=%v", err0, err1)
 	}
@@ -170,7 +170,7 @@ func TestTwoLevelDeadLeaderCascades(t *testing.T) {
 		Allreduce(task, nil, []int64{1}, out, OpSum)
 		return fmt.Errorf("rank %d: allreduce with dead leader completed", task.Rank())
 	}
-	_, _, err0, err1 := runWirePairMode(t, perNode, CollTwoLevel, fn)
+	_, _, err0, err1 := runWirePairWith(t, perNode, Config{Collectives: CollTwoLevel}, fn)
 	var dead *DeadRankError
 	if !errors.As(err0, &dead) || dead.Dead != leader {
 		t.Fatalf("world 0: want DeadRankError{Dead: %d}, got %v", leader, err0)

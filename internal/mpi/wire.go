@@ -40,12 +40,6 @@ type wirePendingRecv struct {
 	elems   int
 	bytes   int
 
-	// got counts the packed elements received so far on the pipelined
-	// segment path (TypeDataSeg). Segments of one transfer arrive on one
-	// transport goroutine (per-peer delivery is serialized), so plain
-	// increments suffice; the transfer completes when got reaches elems.
-	got int
-
 	// span / sendNs from the RTS frame, reported to TraceHooks when the
 	// data frame completes the receive.
 	span   uint64
@@ -191,8 +185,8 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		DstWorld: int32(worldDst),
 		Tag:      int32(msg.tag),
 		Elems:    int32(msg.elems),
-		// Trace context rides the frame extension (v2 connections only;
-		// zero when tracing is off, which elides the extension entirely).
+		// Trace context rides the frame extension (zero when tracing is
+		// off, which elides the extension entirely).
 		Span:   msg.span,
 		SendTS: msg.sendNs,
 	}
@@ -284,12 +278,6 @@ func (n *netLayer) Alloc(peer int, h *wire.Header) ([]byte, any) {
 		}
 		b := n.w.pool.get(poolNoRank, int(h.PayloadLen))
 		return b.data[:h.PayloadLen], b
-	case wire.TypeDataSeg:
-		if h.PayloadLen == 0 {
-			return nil, nil
-		}
-		b := n.w.pool.get(poolNoRank, int(h.PayloadLen))
-		return b.data[:h.PayloadLen], b
 	}
 	return nil, nil
 }
@@ -320,8 +308,6 @@ func (n *netLayer) Frame(peer int, f *wire.Frame) {
 		n.onCTS(f)
 	case wire.TypeData:
 		n.onData(f)
-	case wire.TypeDataSeg:
-		n.onDataSeg(f)
 	case wire.TypeFailure:
 		n.onFailure(f)
 	}
@@ -483,10 +469,6 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 		// transfer time, not late-receiver time.
 		th.SpanCts(ps.src, msg.span)
 	}
-	if msg.sdt != nil {
-		n.sendTypedData(ps, msg, f.Xid)
-		return
-	}
 	h := wire.Header{
 		Type:     wire.TypeData,
 		Kind:     uint8(msg.etype.Kind()),
@@ -500,76 +482,19 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 	}
 	// msg.sdata still views the sender's buffer: the sending task is
 	// blocked on sreq, which completes only below, after the transport
-	// has copied the payload into its frame.
-	err := n.tr.Send(n.nodeOf[ps.dst], &h, msg.sdata)
-	if err != nil {
-		msg.sreq.fail(&DeadRankError{Rank: ps.src, Op: "Send", Dead: ps.dst})
-	} else {
-		msg.sreq.complete(Status{})
+	// has copied the payload into its frame. A typed payload is packed
+	// whole into a pooled buffer first, as on the eager path: the wire
+	// carries dense payloads only.
+	payload := msg.sdata
+	var pb *eagerBuf
+	if msg.sdt != nil {
+		pb = n.w.pool.get(poolNoRank, msg.bytes)
+		payload = pb.data[:msg.bytes]
+		dtPack(payload, msg.sdata, msg.sdt, int(msg.etype.Size()))
 	}
-	putMessage(msg)
-}
-
-// wireTypedChunk is the packed segment size of the pipelined typed
-// rendezvous datapath: the sender packs this many bytes at a time into
-// one reused scratch buffer and streams them as DataSeg frames, so a
-// large strided transfer never exists fully packed on either side.
-const wireTypedChunk = 64 << 10
-
-// sendTypedData is onCTS's tail for a typed rendezvous send. Against a
-// v4 peer the payload streams as pipelined packed segments; against an
-// older peer (or under Config.ForcePack, the ablation knob) it is packed
-// whole into a pooled buffer and shipped as a single Data frame, exactly
-// like a contiguous send.
-func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message, xid uint64) {
-	w := n.w
-	node := n.nodeOf[ps.dst]
-	esz := int(msg.etype.Size())
-	var err error
-	if w.cfg.ForcePack || n.peerVersion(node) < 4 {
-		b := w.pool.get(poolNoRank, msg.bytes)
-		dtPack(b.data[:msg.bytes], msg.sdata, msg.sdt, esz)
-		h := wire.Header{
-			Type:     wire.TypeData,
-			Kind:     uint8(msg.etype.Kind()),
-			Xid:      xid,
-			Ctx:      msg.ctx,
-			SrcComm:  int32(msg.src),
-			SrcWorld: int32(ps.src),
-			DstWorld: int32(ps.dst),
-			Tag:      int32(msg.tag),
-			Elems:    int32(msg.elems),
-		}
-		err = n.tr.Send(node, &h, b.data[:msg.bytes])
-		w.pool.release(poolNoRank, b)
-	} else {
-		chunkElems := wireTypedChunk / esz
-		if chunkElems < 1 {
-			chunkElems = 1
-		}
-		scratch := w.pool.get(poolNoRank, chunkElems*esz)
-		for off := 0; off < msg.elems; off += chunkElems {
-			nel := min(chunkElems, msg.elems-off)
-			seg := scratch.data[:nel*esz]
-			dtPackRange(seg, msg.sdata, msg.sdt, esz, off, off+nel)
-			h := wire.Header{
-				Type:     wire.TypeDataSeg,
-				Kind:     uint8(msg.etype.Kind()),
-				Xid:      xid,
-				Ctx:      msg.ctx,
-				SrcComm:  int32(msg.src),
-				SrcWorld: int32(ps.src),
-				DstWorld: int32(ps.dst),
-				Tag:      int32(msg.tag),
-				// Elems carries the segment's element offset within the
-				// packed message; the total rode the RTS.
-				Elems: int32(off),
-			}
-			if err = n.tr.Send(node, &h, seg); err != nil {
-				break
-			}
-		}
-		w.pool.release(poolNoRank, scratch)
+	err := n.tr.Send(n.nodeOf[ps.dst], &h, payload)
+	if pb != nil {
+		n.w.pool.release(poolNoRank, pb)
 	}
 	if err != nil {
 		msg.sreq.fail(&DeadRankError{Rank: ps.src, Op: "Send", Dead: ps.dst})
@@ -577,18 +502,6 @@ func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message, xid uint64) 
 		msg.sreq.complete(Status{})
 	}
 	putMessage(msg)
-}
-
-// peerVersion reports the negotiated frame version toward node via the
-// transport's optional PeerVersion extension. Transports without it —
-// and links still handshaking — report MinVersion, the conservative
-// answer: typed payloads then fall back to whole-pack Data frames the
-// peer certainly understands.
-func (n *netLayer) peerVersion(node int) uint8 {
-	if pv, ok := n.tr.(interface{ PeerVersion(int) uint8 }); ok {
-		return pv.PeerVersion(node)
-	}
-	return wire.MinVersion
 }
 
 func (n *netLayer) onData(f *wire.Frame) {
@@ -598,21 +511,26 @@ func (n *netLayer) onData(f *wire.Frame) {
 		n.completeWireRecv(wr)
 		return
 	}
-	// The payload arrived packed in a pooled scratch: either the receive
-	// is strided (the Alloc claim was refused so raw packed bytes never
-	// touch the user buffer) or there is no transaction to claim
-	// (validation failed at RTS time) and the frame is dropped.
+	// The payload arrived in a pooled scratch, or was empty and never
+	// reached Alloc: either the receive is strided (the Alloc claim was
+	// refused so raw packed bytes never touch the user buffer), or there
+	// is no transaction to claim (validation failed at RTS time) and the
+	// frame is dropped.
 	buf, _ := f.Token.(*eagerBuf)
 	n.mu.Lock()
 	wr := n.recvs[f.Xid]
-	if wr != nil && wr.bytes == int(f.PayloadLen) && wr.pr.rdt != nil {
+	if wr != nil && wr.bytes == int(f.PayloadLen) {
 		delete(n.recvs, f.Xid)
 	} else {
 		wr = nil
 	}
 	n.mu.Unlock()
 	if wr != nil {
-		dtUnpack(wr.pr.rdata, f.Payload, wr.pr.rdt, int(wr.pr.etype.Size()))
+		if pr := wr.pr; pr.rdt != nil {
+			dtUnpack(pr.rdata, f.Payload, pr.rdt, int(pr.etype.Size()))
+		} else {
+			copy(pr.rdata, f.Payload)
+		}
 	}
 	if buf != nil {
 		w.pool.release(poolNoRank, buf)
@@ -622,57 +540,8 @@ func (n *netLayer) onData(f *wire.Frame) {
 	}
 }
 
-// onDataSeg applies one packed segment of a pipelined typed rendezvous
-// transfer and completes the receive when the element count announced by
-// the RTS has fully arrived.
-func (n *netLayer) onDataSeg(f *wire.Frame) {
-	w := n.w
-	buf, _ := f.Token.(*eagerBuf)
-	release := func() {
-		if buf != nil {
-			w.pool.release(poolNoRank, buf)
-		}
-	}
-	n.mu.Lock()
-	wr := n.recvs[f.Xid]
-	n.mu.Unlock()
-	if wr == nil {
-		release()
-		return
-	}
-	pr := wr.pr
-	esz := int(pr.etype.Size())
-	off := int(f.Elems)
-	nel := len(f.Payload) / esz
-	if off < 0 || nel <= 0 || off+nel > wr.elems || len(f.Payload) != nel*esz {
-		release()
-		return
-	}
-	if pr.rdt != nil {
-		dtUnpackRange(pr.rdata, f.Payload, pr.rdt, esz, off, off+nel)
-	} else {
-		copy(pr.rdata[off*esz:], f.Payload)
-	}
-	release()
-	wr.got += nel
-	if wr.got < wr.elems {
-		return
-	}
-	// Transfer complete: claim the transaction. It may have been failed
-	// concurrently (onRankFailed, failAll), so re-check identity under
-	// the lock — a failed receive must not complete twice.
-	n.mu.Lock()
-	if n.recvs[f.Xid] != wr {
-		n.mu.Unlock()
-		return
-	}
-	delete(n.recvs, f.Xid)
-	n.mu.Unlock()
-	n.completeWireRecv(wr)
-}
-
-// completeWireRecv is the shared completion tail of the three wire
-// rendezvous datapaths (direct landing, whole-pack unpack, segments).
+// completeWireRecv is the shared completion tail of the two wire
+// rendezvous datapaths (direct landing, unpack from a pooled scratch).
 func (n *netLayer) completeWireRecv(wr *wirePendingRecv) {
 	w := n.w
 	pr := wr.pr

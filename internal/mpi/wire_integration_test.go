@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,13 +25,13 @@ import (
 // errors.
 func runWirePair(t *testing.T, perNode int, fn func(*Task) error) (w0, w1 *World, err0, err1 error) {
 	t.Helper()
-	return runWirePairMode(t, perNode, CollAuto, fn)
+	return runWirePairWith(t, perNode, Config{}, fn)
 }
 
-// runWirePairMode is runWirePair with an explicit collective-mode
-// selection, so tests can pin the flat channel algorithms or the
-// two-level decomposition.
-func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Task) error) (w0, w1 *World, err0, err1 error) {
+// runWirePairWith is runWirePair over a base Config for both worlds, so
+// tests can pin the collective mode or set ForcePack; the task count,
+// machine, transport and timeout are filled in here.
+func runWirePairWith(t *testing.T, perNode int, base Config, fn func(*Task) error) (w0, w1 *World, err0, err1 error) {
 	t.Helper()
 	m, err := topology.New(topology.Spec{
 		Name:           "wiretest",
@@ -56,13 +57,12 @@ func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Ta
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWorld(Config{
-			NumTasks:    2 * perNode,
-			Machine:     m,
-			Wire:        &WireConfig{Transport: tr},
-			Collectives: mode,
-			Timeout:     20 * time.Second,
-		})
+		cfg := base
+		cfg.NumTasks = 2 * perNode
+		cfg.Machine = m
+		cfg.Wire = &WireConfig{Transport: tr}
+		cfg.Timeout = 20 * time.Second
+		w, err := NewWorld(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,6 +169,47 @@ func TestWireWildcardNonOvertaking(t *testing.T) {
 	_, _, err0, err1 := runWirePair(t, 2, fn)
 	if err0 != nil || err1 != nil {
 		t.Fatalf("err0=%v err1=%v", err0, err1)
+	}
+}
+
+// TestWireSsendAgainstRecv: a 1-element Ssend to a rank in the other
+// process completes against a plain Recv, and not before that Recv is
+// posted — the receiver's CTS is the acknowledgement. An empty Ssend
+// rides the same handshake with a payload-less Data frame.
+func TestWireSsendAgainstRecv(t *testing.T) {
+	var posted atomic.Bool
+	fn := func(task *Task) error {
+		switch task.Rank() {
+		case 0:
+			Ssend(task, nil, []int64{42}, 2, 5)
+			if !posted.Load() {
+				return fmt.Errorf("Ssend completed before the receive was posted")
+			}
+			Ssend(task, nil, []int64{}, 2, 6)
+		case 2:
+			time.Sleep(50 * time.Millisecond)
+			posted.Store(true)
+			var v [1]int64
+			if st := Recv(task, nil, v[:], 0, 5); st.Count != 1 || v[0] != 42 {
+				return fmt.Errorf("received %v, status %+v", v, st)
+			}
+			if st := Recv(task, nil, v[:], 0, 6); st.Count != 0 {
+				return fmt.Errorf("empty Ssend: status %+v", st)
+			}
+		}
+		return nil
+	}
+	w0, w1, err0, err1 := runWirePair(t, 2, fn)
+	if err0 != nil || err1 != nil {
+		t.Fatalf("err0=%v err1=%v", err0, err1)
+	}
+	if n := w0.Stats().Rendezvous; n != 2 {
+		t.Fatalf("%d rendezvous sends, want the two forced ones", n)
+	}
+	for i, w := range []*World{w0, w1} {
+		if out := w.Stats().EagerPoolOutstanding; out != 0 {
+			t.Errorf("world %d: %d eager buffers leaked", i, out)
+		}
 	}
 }
 

@@ -3,14 +3,13 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"testing"
 	"time"
 )
 
 // TestBatchCoalescesSmallFrames bursts small eager frames through a
-// batching v3 connection: every frame must arrive individually and in
+// batching connection: every frame must arrive individually and in
 // order at the sink (batching is invisible above the transport), and
 // the sender's stats must show real coalescing — far fewer Batch
 // containers than sub-frames.
@@ -45,94 +44,6 @@ func TestBatchCoalescesSmallFrames(t *testing.T) {
 		t.Fatalf("mean batch fill %d/%d < 2: burst did not coalesce", st.BatchedFrames, st.BatchesSent)
 	}
 	waitFor(t, "acks drain inflight", func() bool { return tr0.Stats().Inflight == 0 })
-}
-
-// TestBatchSenderDowngradesToV2Peer plays a version-2 binary against a
-// batching sender: the fake peer advertises v2 in its Hello, and every
-// frame it then reads must be an individually framed v2 frame — never a
-// TypeBatch container the old binary could not parse.
-func TestBatchSenderDowngradesToV2Peer(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	tr0, err := NewTCP(Config{
-		Addrs: addrs, Self: 0, WorldKey: 9,
-		BatchWindow: time.Millisecond,
-	}, ln0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr0.Close()
-	tr0.Bind(newTestSink())
-
-	// Trigger the dial.
-	if err := tr0.Send(1, &Header{Type: TypeEager, Tag: 0, DstWorld: 1}, []byte("m-0")); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := ln1.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-
-	var scratch [maxFrameRead]byte
-	var hello Header
-	if _, err := readHeader(conn, &hello, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Type != TypeHello || hello.Elems != Version {
-		t.Fatalf("hello advertises %d, want %d: %+v", hello.Elems, Version, hello)
-	}
-	// Answer as a v2 binary: version advertisement 2, same world key.
-	reply := AppendFrame(nil, &Header{
-		Type: TypeHello, Version: MinVersion, Xid: 9, SrcWorld: 1, Elems: 2,
-	}, nil)
-	if _, err := conn.Write(reply); err != nil {
-		t.Fatal(err)
-	}
-
-	// More small frames after negotiation — prime batching candidates,
-	// which must all arrive unbatched.
-	const n = 20
-	for i := 1; i < n; i++ {
-		h := Header{Type: TypeEager, Tag: int32(i), DstWorld: 1}
-		if err := tr0.Send(1, &h, []byte(fmt.Sprintf("m-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := int32(0)
-	for next < n {
-		var h Header
-		plen, err := readHeader(conn, &h, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, plen)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatal(err)
-		}
-		if h.Type == TypeBatch {
-			t.Fatalf("batch container sent to a v2 peer (after %d frames)", next)
-		}
-		if h.Type != TypeEager {
-			continue // ack or other control frame
-		}
-		if h.Version != 2 || h.Tag != next || string(buf) != fmt.Sprintf("m-%d", next) {
-			t.Fatalf("frame %d: version=%d tag=%d payload=%q", next, h.Version, h.Tag, buf)
-		}
-		next++
-	}
-	if st := tr0.Stats(); st.BatchesSent != 0 || st.BatchedFrames != 0 {
-		t.Fatalf("batching engaged on a v2 connection: %+v", st)
-	}
 }
 
 // TestDecodeBatchRoundTrip packs three frames — including one carrying
@@ -209,37 +120,19 @@ func TestDecodeBatchFaults(t *testing.T) {
 	}
 }
 
-// TestCorruptBatchSeversConnection dials the transport as a v3 peer and
+// TestCorruptBatchSeversConnection dials the transport as a fake peer and
 // sends a batch with a truncated payload: the transport must sever the
 // connection promptly (the fake peer reads EOF) instead of hanging or
 // desynchronizing its frame stream.
 func TestCorruptBatchSeversConnection(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	tr0, err := NewTCP(Config{Addrs: addrs, Self: 0, WorldKey: 5}, ln0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr0.Close()
-	tr0.Bind(newTestSink())
-
-	conn, err := net.Dial("tcp", addrs[0])
+	tr0, _, _ := fakePeerPair(t, Config{WorldKey: 5})
+	conn, err := net.Dial("tcp", tr0.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	hello := AppendFrame(nil, &Header{
-		Type: TypeHello, Version: MinVersion, Xid: 5, SrcWorld: 1, Elems: Version,
-	}, nil)
+	hello := AppendFrame(nil, &Header{Type: TypeHello, Xid: 5, SrcWorld: 1}, nil)
 	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +144,7 @@ func TestCorruptBatchSeversConnection(t *testing.T) {
 
 	// A batch whose payload is ten garbage bytes: too short for even one
 	// sub-frame header.
-	bad := AppendFrame(nil, &Header{Type: TypeBatch, Version: Version}, make([]byte, 10))
+	bad := AppendFrame(nil, &Header{Type: TypeBatch}, make([]byte, 10))
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}

@@ -84,17 +84,16 @@ type tcpPeer struct {
 	conn         net.Conn
 	bw           *bufio.Writer
 	ready        bool   // Hello exchange complete on conn; writes allowed
-	ver          uint8  // negotiated frame version: min(ours, peer's)
 	inc          uint64 // highest incarnation seen from this peer (0 = unknown/legacy)
 	sendSeq      uint64
 	unacked      []encFrame
 	dialing      bool
 	down         bool
 	downErr      error
-	hadConn      bool
+	wasReady     bool // the peer's Hello arrived on some connection
 	pendingSends atomic.Int32
 
-	// Pending v3 batch (guarded by sendMu): small sequenced frames are
+	// Pending batch (guarded by sendMu): small sequenced frames are
 	// copied here instead of written, and flushed as one TypeBatch
 	// container on a size threshold, the window deadline, or before any
 	// frame that cannot join the batch (ordering). The sub-frames also
@@ -127,7 +126,7 @@ func NewTCP(cfg Config, ln net.Listener) (*TCP, error) {
 	t := &TCP{cfg: c, ln: ln}
 	t.peers = make([]*tcpPeer, len(c.Addrs))
 	for i := range t.peers {
-		t.peers[i] = &tcpPeer{id: i, tr: t, ver: Version}
+		t.peers[i] = &tcpPeer{id: i, tr: t}
 	}
 	return t, nil
 }
@@ -140,24 +139,6 @@ func (t *TCP) Peers() int { return len(t.peers) }
 
 // Addr returns the actual listen address (resolves port 0).
 func (t *TCP) Addr() net.Addr { return t.ln.Addr() }
-
-// PeerVersion reports the negotiated frame-format version toward peer.
-// Before the handshake completes (or while the link is down) it returns
-// MinVersion — the conservative answer, so callers gate version-
-// dependent frame kinds on capabilities the peer has actually
-// advertised.
-func (t *TCP) PeerVersion(peer int) uint8 {
-	if peer < 0 || peer >= len(t.peers) || peer == t.cfg.Self {
-		return MinVersion
-	}
-	p := t.peers[peer]
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down {
-		return MinVersion
-	}
-	return p.ver
-}
 
 // Bind installs the sink and starts the accept loop (and, when
 // configured, the periodic clock-probe loop).
@@ -252,7 +233,6 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	}
 	p.sendSeq++
 	hh := *h
-	hh.Version = p.ver
 	hh.Seq = p.sendSeq
 	hh.Ack = p.recvSeq.Load()
 	buf := AppendFrame(getEnc(), &hh, payload)
@@ -265,7 +245,7 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 		p.ensureDialLocked()
 		return nil
 	}
-	if t.cfg.BatchWindow > 0 && p.ver >= 3 && hh.Type == TypeEager && len(buf) <= t.cfg.BatchCutoff {
+	if t.cfg.BatchWindow > 0 && hh.Type == TypeEager && len(buf) <= t.cfg.BatchCutoff {
 		p.batchBuf = append(p.batchBuf, buf...)
 		p.batchFrames++
 		if len(p.batchBuf) >= t.cfg.BatchBytes || p.batchFrames >= t.cfg.BatchFrames {
@@ -321,7 +301,7 @@ func (p *tcpPeer) flushBatchLocked() error {
 		return nil
 	}
 	t := p.tr
-	h := Header{Type: TypeBatch, Version: p.ver, Ack: p.recvSeq.Load()}
+	h := Header{Type: TypeBatch, Ack: p.recvSeq.Load()}
 	buf := AppendFrame(getEnc(), &h, payload)
 	p.batchBuf = p.batchBuf[:0]
 	t.batchesSent.Add(1)
@@ -429,14 +409,16 @@ func (p *tcpPeer) dialLoop() {
 			return
 		}
 		p.sendMu.Lock()
-		if p.conn != nil { // acceptor installed a connection meanwhile
+		// Meanwhile the acceptor installed a connection, or the peer was
+		// declared down (a version mismatch is not worth redialing).
+		if p.conn != nil || p.down {
 			p.dialing = false
 			p.sendMu.Unlock()
 			return
 		}
-		hadConn := p.hadConn
+		wasReady := p.wasReady
 		p.sendMu.Unlock()
-		if attempt > 1 || hadConn {
+		if attempt > 1 || wasReady {
 			time.Sleep(backoff)
 			backoff *= 2
 			if backoff > maxBackoff {
@@ -501,11 +483,14 @@ func (p *tcpPeer) adoptDialed(conn net.Conn) bool {
 		p.sever(conn, err)
 		return false
 	}
-	go p.runReader(conn, true)
+	go p.runReader(conn, bufio.NewReader(conn))
 	return true
 }
 
 // installLocked makes conn the current connection (closing any old one).
+// It counts a reconnect only once the peer's Hello has arrived on some
+// connection: at first contact both ends may dial, and the tie-break
+// replaces a connection that never got that far.
 func (p *tcpPeer) installLocked(conn net.Conn) {
 	if p.conn != nil {
 		p.conn.Close()
@@ -513,32 +498,27 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 	p.conn = conn
 	p.bw = bufio.NewWriterSize(conn, 64<<10)
 	p.ready = false
-	if p.hadConn {
+	if p.wasReady {
 		p.tr.reconnects.Add(1)
 		if ob := p.tr.cfg.Observer; ob != nil {
 			ob.Reconnect(p.id)
 		}
 	}
-	p.hadConn = true
 }
 
 // writeHelloLocked sends the handshake frame: our node id, the world
-// key, and our resume point (highest in-order seq received from peer).
-// Hello frames are always encoded at MinVersion — the lowest common
-// denominator, so an old peer can still parse them — with our real
-// protocol version advertised in Elems (old binaries leave it 0), our
-// wall clock in Ctx as a crude one-way clock sample, and our process
-// incarnation in Seq (sequence numbering starts after the handshake,
-// so the field is free here; old binaries send 0).
+// key, and our resume point (highest in-order seq received from peer),
+// plus our wall clock in Ctx as a crude one-way clock sample and our
+// process incarnation in Seq (sequence numbering starts after the
+// handshake, so the field is free here). Its version byte is the one
+// the peer checks: a mismatch declares us down on its side.
 func (p *tcpPeer) writeHelloLocked() error {
 	h := Header{
 		Type:     TypeHello,
-		Version:  MinVersion,
 		Xid:      p.tr.cfg.WorldKey,
 		SrcWorld: int32(p.tr.cfg.Self),
 		Seq:      p.tr.cfg.Incarnation,
 		Ack:      p.recvSeq.Load(),
-		Elems:    Version,
 		Ctx:      time.Now().UnixNano(),
 	}
 	buf := AppendFrame(getEnc(), &h, nil)
@@ -581,9 +561,8 @@ func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
 }
 
 // resetStreamLocked discards the per-peer sequence space: queued unacked
-// frames are freed, send/receive sequences and the ack watermark return
-// to zero, and the frame version reopens for negotiation. Caller holds
-// recvMu and sendMu.
+// frames are freed, and send/receive sequences and the ack watermark
+// return to zero. Caller holds recvMu and sendMu.
 func (p *tcpPeer) resetStreamLocked() {
 	p.clearBatchLocked()
 	p.sendSeq = 0
@@ -600,13 +579,12 @@ func (p *tcpPeer) resetStreamLocked() {
 	}
 	p.recvSeq.Store(0)
 	p.lastAck = 0
-	p.ver = Version
 }
 
 // handleHello processes the peer's Hello on connection c: note the
-// peer's incarnation (resetting the stream if it restarted), negotiate
-// the frame version, acknowledge through the peer's resume point,
-// retransmit the unacked tail, and open the connection for new writes.
+// peer's incarnation (resetting the stream if it restarted), acknowledge
+// through the peer's resume point, retransmit the unacked tail, and open
+// the connection for new writes.
 func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	now := time.Now().UnixNano()
 	p.recvMu.Lock()
@@ -616,22 +594,8 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 		p.recvMu.Unlock()
 		return // stale connection
 	}
+	p.wasReady = true
 	p.noteHelloLocked(h)
-	peerVer := uint8(MinVersion)
-	if h.Elems > int32(MinVersion) {
-		peerVer = uint8(h.Elems)
-	}
-	if peerVer < p.ver {
-		// Downgrade: frames already encoded into the unacked ring (Send
-		// encodes before the handshake) carry a version byte — and, below
-		// v2, possibly the span extension — the peer cannot parse; rewrite
-		// them in place. Batching stays off for the connection's lifetime
-		// (Send checks p.ver per frame).
-		p.ver = peerVer
-		for i := range p.unacked {
-			p.unacked[i].buf = downgradeFrame(p.unacked[i].buf, p.ver)
-		}
-	}
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
 		if err := p.writeLocked(ef.buf, TypeEager, false); err != nil {
@@ -648,7 +612,7 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 		return
 	}
 	p.ready = true
-	if p.tr.cfg.PingInterval > 0 && p.ver >= 2 {
+	if p.tr.cfg.PingInterval > 0 {
 		p.writePingLocked() // immediate probe: short runs get a real RTT
 	}
 	p.sendMu.Unlock()
@@ -664,10 +628,9 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 // the next write will sever a genuinely broken connection.
 func (p *tcpPeer) writePingLocked() {
 	h := Header{
-		Type:    TypePing,
-		Version: p.ver,
-		Xid:     uint64(time.Now().UnixNano()),
-		Ack:     p.recvSeq.Load(),
+		Type: TypePing,
+		Xid:  uint64(time.Now().UnixNano()),
+		Ack:  p.recvSeq.Load(),
 	}
 	buf := AppendFrame(getEnc(), &h, nil)
 	err := p.writeLocked(buf, TypePing, false)
@@ -677,32 +640,30 @@ func (p *tcpPeer) writePingLocked() {
 	}
 }
 
-// sendPing emits a clock probe if the connection is up and the peer
-// speaks v2.
+// sendPing emits a clock probe if the connection is up.
 func (p *tcpPeer) sendPing() {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down || p.ver < 2 {
+	if p.conn == nil || !p.ready || p.down {
 		return
 	}
 	p.writePingLocked()
 }
 
 // sendPong answers a clock probe: echo t1 (Xid), report our receive
-// time t2 (Ctx) and our send time t3 (SendTS, in the v2 extension).
+// time t2 (Ctx) and our send time t3 (SendTS, in the span extension).
 func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down || p.ver < 2 {
+	if p.conn == nil || !p.ready || p.down {
 		return
 	}
 	h := Header{
-		Type:    TypePong,
-		Version: p.ver,
-		Xid:     t1,
-		Ctx:     t2,
-		Ack:     p.recvSeq.Load(),
-		SendTS:  time.Now().UnixNano(),
+		Type:   TypePong,
+		Xid:    t1,
+		Ctx:    t2,
+		Ack:    p.recvSeq.Load(),
+		SendTS: time.Now().UnixNano(),
 	}
 	buf := AppendFrame(getEnc(), &h, nil)
 	err := p.writeLocked(buf, TypePong, false)
@@ -853,23 +814,29 @@ func (t *TCP) acceptLoop() {
 // peer, and decides whether to adopt the connection. Tie-break when a
 // connection already exists (simultaneous dial from both ends): the
 // connection dialed by the LOWER node id wins, so both sides converge on
-// the same socket instead of flapping.
+// the same socket instead of flapping. An authentic Hello (valid node id
+// and world key) at another frame version declares that peer down.
 func (t *TCP) handleAccept(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + 2*time.Second)) //nolint:errcheck
 	br := bufio.NewReader(conn)
 	var scratch [maxFrameRead]byte
 	var h Header
 	plen, err := readHeader(br, &h, &scratch)
-	if err != nil || h.Type != TypeHello || plen != 0 {
+	peerID := int(h.SrcWorld)
+	authentic := h.Type == TypeHello && peerID >= 0 && peerID < len(t.peers) &&
+		peerID != t.cfg.Self && h.Xid == t.cfg.WorldKey
+	var ve *VersionError
+	if errors.As(err, &ve) && authentic {
+		conn.Close()
+		ve.Peer = peerID
+		t.peers[peerID].markDown(ve)
+		return
+	}
+	if err != nil || !authentic || plen != 0 {
 		conn.Close()
 		return
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-	peerID := int(h.SrcWorld)
-	if peerID < 0 || peerID >= len(t.peers) || peerID == t.cfg.Self || h.Xid != t.cfg.WorldKey {
-		conn.Close()
-		return
-	}
 	p := t.peers[peerID]
 	p.recvMu.Lock()
 	p.sendMu.Lock()
@@ -900,19 +867,15 @@ func (t *TCP) handleAccept(conn net.Conn) {
 	}
 	// Complete the handshake from their resume point, then read.
 	p.handleHello(conn, &h)
-	p.runReaderWith(conn, br, false)
+	p.runReader(conn, br)
 }
 
-// runReader is the per-connection progress goroutine (dialer side).
-func (p *tcpPeer) runReader(c net.Conn, dialer bool) {
-	p.runReaderWith(c, bufio.NewReader(c), dialer)
-}
-
-// runReaderWith decodes frames off the connection and routes them:
-// Hello completes handshakes, Ack trims the ring, everything else is
-// claimed in order and delivered to the sink.
-func (p *tcpPeer) runReaderWith(c net.Conn, br *bufio.Reader, dialer bool) {
-	_ = dialer
+// runReader is the per-connection progress goroutine: it decodes frames
+// off the connection and routes them. Hello completes handshakes, Ack
+// trims the ring, everything else is claimed in order and delivered to
+// the sink. A frame at another version — the dialer's first read is the
+// peer's reply Hello — declares the peer down rather than redialing it.
+func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	t := p.tr
 	var scratch [maxFrameRead]byte
 	for {
@@ -922,6 +885,13 @@ func (p *tcpPeer) runReaderWith(c net.Conn, br *bufio.Reader, dialer bool) {
 		var h Header
 		plen, err := readHeader(br, &h, &scratch)
 		if err != nil {
+			var ve *VersionError
+			if errors.As(err, &ve) {
+				c.Close()
+				ve.Peer = p.id
+				p.markDown(ve)
+				return
+			}
 			if !errors.Is(err, io.EOF) || !t.closed.Load() {
 				p.sever(c, err)
 			}
@@ -930,7 +900,7 @@ func (p *tcpPeer) runReaderWith(c net.Conn, br *bufio.Reader, dialer bool) {
 		var payload []byte
 		var token any
 		if plen > 0 {
-			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
+			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData) {
 				payload, token = t.sink.Alloc(p.id, &h)
 			}
 			if len(payload) != plen {
@@ -1045,7 +1015,7 @@ func (p *tcpPeer) handleBatch(c net.Conn, payload []byte) bool {
 		var body []byte
 		var token any
 		if len(sub) > 0 {
-			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
+			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData) {
 				body, token = t.sink.Alloc(p.id, h)
 			}
 			if len(body) != len(sub) {

@@ -27,8 +27,9 @@ type Sink interface {
 	// without being delivered.
 	Free(peer int, token any)
 	// PeerDown reports that the connection to peer is permanently lost
-	// (reconnect attempts exhausted or the transport closed it after a
-	// protocol violation). err describes the last failure.
+	// (reconnect attempts exhausted, or the peer speaks another frame
+	// version). err is a *PeerDownError whose Last describes the final
+	// failure — a *VersionError for a version mismatch.
 	PeerDown(peer int, err error)
 }
 
@@ -74,7 +75,7 @@ type Stats struct {
 	Reconnects     uint64
 	// Inflight is the number of sent-but-unacked frames at snapshot time.
 	Inflight uint64
-	// BatchesSent counts v3 Batch container frames written; each is
+	// BatchesSent counts Batch container frames written; each is
 	// included once in FramesSent. BatchedFrames counts the sequenced
 	// sub-frames they carried, so BatchedFrames/BatchesSent is the mean
 	// batch fill.
@@ -189,13 +190,11 @@ type Config struct {
 	// handshake, so a short-lived world still gets real RTT samples.
 	PingInterval time.Duration
 
-	// BatchWindow enables v3 frame batching when > 0: small sequenced
+	// BatchWindow enables frame batching when > 0: small sequenced
 	// frames to a peer are coalesced into one Batch container, flushed
 	// when BatchBytes or BatchFrames is reached, when the window expires,
 	// or before any frame that cannot join the batch (large payloads,
-	// rendezvous data) so per-peer ordering is preserved. Batching only
-	// engages on connections that negotiated v3; a v2 peer transparently
-	// gets individual frames.
+	// rendezvous data) so per-peer ordering is preserved.
 	BatchWindow time.Duration
 	// BatchBytes caps the pending batch payload before a forced flush
 	// (default 16KiB when batching is on).
@@ -272,6 +271,8 @@ type PeerDownError struct {
 func (e *PeerDownError) Error() string {
 	return fmt.Sprintf("wire: peer %d down: %v", e.Peer, e.Last)
 }
+
+func (e *PeerDownError) Unwrap() error { return e.Last }
 
 // ParseHosts splits a comma-separated host list ("addr0,addr1,...") into
 // an address slice, trimming whitespace. It is the bootstrap format of

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -31,7 +32,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("payload length %d, want %d", plen, len(payload))
 	}
 	h.PayloadLen = uint32(len(payload))
-	h.Version = Version
 	if got != h {
 		t.Fatalf("header mismatch:\n got  %+v\n want %+v", got, h)
 	}
@@ -43,12 +43,21 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsBadVersion(t *testing.T) {
-	enc := AppendFrame(nil, &Header{Type: TypeAck}, nil)
-	enc[lenPrefixSize] = Version + 1
-	var h Header
-	var scratch [maxFrameRead]byte
-	if _, err := readHeader(bytes.NewReader(enc), &h, &scratch); err == nil {
-		t.Fatal("expected version error")
+	for _, v := range []byte{0, Version - 1, Version + 1} {
+		enc := AppendFrame(nil, &Header{Type: TypeAck, Ack: 3}, nil)
+		enc[lenPrefixSize] = v
+		var h Header
+		var scratch [maxFrameRead]byte
+		_, err := readHeader(bytes.NewReader(enc), &h, &scratch)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != v || ve.Want != Version {
+			t.Fatalf("version %d: got %v, want *VersionError", v, err)
+		}
+		// The fixed fields still decode, so the transport can identify
+		// the sender of a foreign Hello.
+		if h.Type != TypeAck || h.Ack != 3 {
+			t.Fatalf("version %d: header not decoded: %+v", v, h)
+		}
 	}
 }
 
@@ -150,6 +159,31 @@ func newPair(t *testing.T, cfg0, cfg1 Config) (*TCP, *TCP, *testSink, *testSink)
 	tr1.Bind(s1)
 	t.Cleanup(func() { tr0.Close(); tr1.Close() })
 	return tr0, tr1, s0, s1
+}
+
+// fakePeerPair starts node 0 of a two-node world under cfg; node 1 is
+// played by the test through the returned listener (its address) or by
+// dialing node 0 directly.
+func fakePeerPair(t *testing.T, cfg Config) (*TCP, *testSink, net.Listener) {
+	t.Helper()
+	ln0, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln1, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Addrs = []string{ln0.Addr().String(), ln1.Addr().String()}
+	cfg.Self = 0
+	tr0, err := NewTCP(cfg, ln0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := newTestSink()
+	tr0.Bind(s0)
+	t.Cleanup(func() { tr0.Close(); ln1.Close() })
+	return tr0, s0, ln1
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -400,6 +434,11 @@ func TestTCPCrossDialFirstContact(t *testing.T) {
 					round, s0.count(), s1.count())
 			}
 			time.Sleep(100 * time.Microsecond)
+		}
+		// Converging on one socket replaces a connection that never
+		// completed its handshake: that is not a reconnect.
+		if n := tr0.Stats().Reconnects + tr1.Stats().Reconnects; n != 0 {
+			t.Fatalf("round %d: first contact counted %d reconnects", round, n)
 		}
 		tr0.Close()
 		tr1.Close()
