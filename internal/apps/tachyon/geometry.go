@@ -171,8 +171,9 @@ func (s *Shape) NormalAt(p V3) V3 {
 	}
 }
 
-// aabb is an axis-aligned bounding box.
-type aabb struct{ lo, hi V3 }
+// aabb is an axis-aligned bounding box: [0] is the low corner, [1] the
+// high one.
+type aabb [2]V3
 
 func (s *Shape) bounds() aabb {
 	switch s.Kind {
@@ -180,8 +181,8 @@ func (s *Shape) bounds() aabb {
 		r := V3{s.R, s.R, s.R}
 		return aabb{s.A.Sub(r), s.A.Add(r)}
 	case kindTriangle:
-		lo := V3{min3(s.A.X, s.B.X, s.C.X), min3(s.A.Y, s.B.Y, s.C.Y), min3(s.A.Z, s.B.Z, s.C.Z)}
-		hi := V3{max3(s.A.X, s.B.X, s.C.X), max3(s.A.Y, s.B.Y, s.C.Y), max3(s.A.Z, s.B.Z, s.C.Z)}
+		lo := V3{min(s.A.X, s.B.X, s.C.X), min(s.A.Y, s.B.Y, s.C.Y), min(s.A.Z, s.B.Z, s.C.Z)}
+		hi := V3{max(s.A.X, s.B.X, s.C.X), max(s.A.Y, s.B.Y, s.C.Y), max(s.A.Z, s.B.Z, s.C.Z)}
 		return aabb{lo, hi}
 	default:
 		inf := math.Inf(1)
@@ -191,51 +192,92 @@ func (s *Shape) bounds() aabb {
 
 func (b aabb) union(o aabb) aabb {
 	return aabb{
-		V3{math.Min(b.lo.X, o.lo.X), math.Min(b.lo.Y, o.lo.Y), math.Min(b.lo.Z, o.lo.Z)},
-		V3{math.Max(b.hi.X, o.hi.X), math.Max(b.hi.Y, o.hi.Y), math.Max(b.hi.Z, o.hi.Z)},
+		V3{min(b[0].X, o[0].X), min(b[0].Y, o[0].Y), min(b[0].Z, o[0].Z)},
+		V3{max(b[1].X, o[1].X), max(b[1].Y, o[1].Y), max(b[1].Z, o[1].Z)},
 	}
 }
 
-// hit performs the slab test against ray r up to tMax.
-func (b aabb) hit(r Ray, tMax float64) bool {
-	tMin := tEps
-	for axis := 0; axis < 3; axis++ {
-		var o, d, lo, hi float64
-		switch axis {
-		case 0:
-			o, d, lo, hi = r.O.X, r.D.X, b.lo.X, b.hi.X
-		case 1:
-			o, d, lo, hi = r.O.Y, r.D.Y, b.lo.Y, b.hi.Y
-		default:
-			o, d, lo, hi = r.O.Z, r.D.Z, b.lo.Z, b.hi.Z
+// axis returns component i (0 = X, 1 = Y, 2 = Z).
+func (v V3) axis(i int) float64 {
+	switch i {
+	case 0:
+		return v.X
+	case 1:
+		return v.Y
+	default:
+		return v.Z
+	}
+}
+
+// flatDir is the direction component below which a ray counts as
+// parallel to an axis: its reciprocal is not used, and a box is entered
+// on that axis only if the origin lies within the slab.
+const flatDir = 1e-30
+
+// rayQuery is a ray prepared for box tests. The reciprocal of its
+// direction is computed once per query, not three divisions per box, and
+// the sign of each component picks the box corner the ray enters by
+// (near) and leaves by (1-near), so no per-box swap is needed.
+type rayQuery struct {
+	o, inv     V3
+	nx, ny, nz uint8 // near corner per axis: 1 where the direction is negative
+	flat       uint8 // bit i set where |d_i| < flatDir; boxes then take hitsFlat
+}
+
+func newRayQuery(r Ray) rayQuery {
+	q := rayQuery{o: r.O, inv: V3{1 / r.D.X, 1 / r.D.Y, 1 / r.D.Z}}
+	q.nx, q.ny, q.nz = signBit(q.inv.X), signBit(q.inv.Y), signBit(q.inv.Z)
+	for i := 0; i < 3; i++ {
+		if math.Abs(r.D.axis(i)) < flatDir {
+			q.flat |= 1 << i
 		}
-		if math.Abs(d) < 1e-30 {
+	}
+	return q
+}
+
+func signBit(v float64) uint8 {
+	if v < 0 {
+		return 1
+	}
+	return 0
+}
+
+// hits performs the slab test of box b against the ray over [tEps, tMax].
+// Rounding is monotone, so the near-corner distance on each axis is
+// exactly the smaller of the two slab distances.
+func (q *rayQuery) hits(b *aabb, tMax float64) bool {
+	if q.flat != 0 {
+		return q.hitsFlat(b, tMax)
+	}
+	tMin := max(tEps,
+		(b[q.nx&1].X-q.o.X)*q.inv.X,
+		(b[q.ny&1].Y-q.o.Y)*q.inv.Y,
+		(b[q.nz&1].Z-q.o.Z)*q.inv.Z)
+	tMax = min(tMax,
+		(b[1-(q.nx&1)].X-q.o.X)*q.inv.X,
+		(b[1-(q.ny&1)].Y-q.o.Y)*q.inv.Y,
+		(b[1-(q.nz&1)].Z-q.o.Z)*q.inv.Z)
+	return tMin <= tMax
+}
+
+// hitsFlat is hits for a ray with a flat axis: that axis is a
+// containment test on the origin instead of a slab.
+func (q *rayQuery) hitsFlat(b *aabb, tMax float64) bool {
+	tMin := tEps
+	for i := 0; i < 3; i++ {
+		o, lo, hi := q.o.axis(i), b[0].axis(i), b[1].axis(i)
+		if q.flat&(1<<i) != 0 {
 			if o < lo || o > hi {
 				return false
 			}
 			continue
 		}
-		inv := 1 / d
-		t0 := (lo - o) * inv
-		t1 := (hi - o) * inv
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t0 > tMin {
-			tMin = t0
-		}
-		if t1 < tMax {
-			tMax = t1
-		}
-		if tMin > tMax {
-			return false
-		}
+		t0, t1 := (lo-o)*q.inv.axis(i), (hi-o)*q.inv.axis(i)
+		tMin = max(tMin, min(t0, t1))
+		tMax = min(tMax, max(t0, t1))
 	}
-	return true
+	return tMin <= tMax
 }
-
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }
-func max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }
 
 // BVH is a binary bounding-volume hierarchy over the bounded shapes
 // (planes are tested separately).
@@ -253,23 +295,29 @@ type bvhNode struct {
 // BuildBVH constructs a BVH over the given shapes (ignoring planes).
 func BuildBVH(shapes []Shape) *BVH {
 	b := &BVH{}
-	for i, s := range shapes {
-		if s.Kind != kindPlane {
-			b.order = append(b.order, int32(i))
+	boxes := make([]aabb, len(shapes))
+	cents := make([]V3, len(shapes))
+	for i := range shapes {
+		if shapes[i].Kind == kindPlane {
+			continue
 		}
+		b.order = append(b.order, int32(i))
+		boxes[i] = shapes[i].bounds()
+		cents[i] = boxes[i][0].Add(boxes[i][1]).Scale(0.5)
 	}
 	if len(b.order) == 0 {
 		return b
 	}
-	b.build(shapes, 0, len(b.order))
+	b.build(boxes, cents, 0, len(b.order))
 	return b
 }
 
 // build recursively partitions order[start:end) and returns the node id.
-func (b *BVH) build(shapes []Shape, start, end int) int32 {
-	box := shapes[b.order[start]].bounds()
+// boxes and cents hold each shape's bounds and centroid, by shape index.
+func (b *BVH) build(boxes []aabb, cents []V3, start, end int) int32 {
+	box := boxes[b.order[start]]
 	for i := start + 1; i < end; i++ {
-		box = box.union(shapes[b.order[i]].bounds())
+		box = box.union(boxes[b.order[i]])
 	}
 	id := int32(len(b.nodes))
 	b.nodes = append(b.nodes, bvhNode{box: box, left: -1, right: -1})
@@ -279,7 +327,7 @@ func (b *BVH) build(shapes []Shape, start, end int) int32 {
 		return id
 	}
 	// Median split along the widest axis.
-	ext := box.hi.Sub(box.lo)
+	ext := box[1].Sub(box[0])
 	axis := 0
 	if ext.Y > ext.X && ext.Y >= ext.Z {
 		axis = 1
@@ -288,26 +336,13 @@ func (b *BVH) build(shapes []Shape, start, end int) int32 {
 	}
 	mid := (start + end) / 2
 	quickSelect(b.order[start:end], mid-start, func(i, j int32) bool {
-		return centroid(&shapes[i], axis) < centroid(&shapes[j], axis)
+		return cents[i].axis(axis) < cents[j].axis(axis)
 	})
-	left := b.build(shapes, start, mid)
-	right := b.build(shapes, mid, end)
+	left := b.build(boxes, cents, start, mid)
+	right := b.build(boxes, cents, mid, end)
 	b.nodes[id].left = left
 	b.nodes[id].right = right
 	return id
-}
-
-func centroid(s *Shape, axis int) float64 {
-	bb := s.bounds()
-	c := bb.lo.Add(bb.hi).Scale(0.5)
-	switch axis {
-	case 0:
-		return c.X
-	case 1:
-		return c.Y
-	default:
-		return c.Z
-	}
 }
 
 // quickSelect partially sorts a so that a[k] is the k-th element by less.
@@ -342,10 +377,25 @@ func quickSelect(a []int32, k int, less func(i, j int32) bool) {
 // Intersect returns the nearest hit among the BVH shapes, updating
 // (bestT, bestIdx). It returns ok=false if nothing beats bestT.
 func (b *BVH) Intersect(shapes []Shape, r Ray, bestT float64) (float64, int32, bool) {
-	if len(b.nodes) == 0 {
-		return bestT, -1, false
-	}
+	t, idx := b.walk(shapes, r, bestT, false)
+	return t, idx, idx >= 0
+}
+
+// Any reports whether some BVH shape is hit at tEps < t < tMax. It
+// returns at the first such shape, not the nearest: the shadow-ray query.
+func (b *BVH) Any(shapes []Shape, r Ray, tMax float64) bool {
+	_, idx := b.walk(shapes, r, tMax, true)
+	return idx >= 0
+}
+
+// walk traverses the tree for hits below bestT, pruning boxes against the
+// best t so far. With first set it stops at the first hit found.
+func (b *BVH) walk(shapes []Shape, r Ray, bestT float64, first bool) (float64, int32) {
 	bestIdx := int32(-1)
+	if len(b.nodes) == 0 {
+		return bestT, bestIdx
+	}
+	q := newRayQuery(r)
 	var stack [64]int32
 	sp := 0
 	stack[sp] = 0
@@ -353,7 +403,7 @@ func (b *BVH) Intersect(shapes []Shape, r Ray, bestT float64) (float64, int32, b
 	for sp > 0 {
 		sp--
 		nd := &b.nodes[stack[sp]]
-		if !nd.box.hit(r, bestT) {
+		if !q.hits(&nd.box, bestT) {
 			continue
 		}
 		if nd.left < 0 {
@@ -362,6 +412,9 @@ func (b *BVH) Intersect(shapes []Shape, r Ray, bestT float64) (float64, int32, b
 				if t, ok := shapes[idx].Intersect(r); ok && t < bestT {
 					bestT = t
 					bestIdx = idx
+					if first {
+						return bestT, bestIdx
+					}
 				}
 			}
 			continue
@@ -371,5 +424,5 @@ func (b *BVH) Intersect(shapes []Shape, r Ray, bestT float64) (float64, int32, b
 		stack[sp] = nd.right
 		sp++
 	}
-	return bestT, bestIdx, bestIdx >= 0
+	return bestT, bestIdx
 }

@@ -95,13 +95,17 @@ func (s *Scene) nearestHit(r Ray) (t float64, idx int32, ok bool) {
 }
 
 // occluded reports whether anything blocks the segment from p towards the
-// light at distance dist.
+// light at distance dist. Any hit short of the light will do, so the
+// query stops at the first one instead of finding the nearest.
 func (s *Scene) occluded(p, dir V3, dist float64) bool {
 	r := Ray{O: p.Add(dir.Scale(1e-6)), D: dir}
-	if t, _, ok := s.nearestHit(r); ok && t < dist-1e-6 {
-		return true
+	tMax := dist - 1e-6
+	for _, pi := range s.Planes {
+		if t, ok := s.Shapes[pi].Intersect(r); ok && t < tMax {
+			return true
+		}
 	}
-	return false
+	return s.BVH.Any(s.Shapes, r, tMax)
 }
 
 // maxDepth bounds reflection recursion.

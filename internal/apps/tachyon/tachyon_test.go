@@ -1,6 +1,7 @@
 package tachyon
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -52,12 +53,8 @@ func TestPlaneIntersection(t *testing.T) {
 
 func TestBVHMatchesBruteForce(t *testing.T) {
 	scene := BuildScene(3, 60, 20)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 500; i++ {
-		r := Ray{
-			O: V3{-8 + 16*rng.Float64(), 6 * rng.Float64(), 4 - 18*rng.Float64()},
-			D: V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Unit(),
-		}
+	flatHits := 0
+	for i, r := range testRays(600, 9) {
 		bestT := math.Inf(1)
 		bestIdx := int32(-1)
 		for j := range scene.Shapes {
@@ -72,9 +69,91 @@ func TestBVHMatchesBruteForce(t *testing.T) {
 		if gok != (bestIdx >= 0) {
 			t.Fatalf("ray %d: BVH ok=%v brute=%v", i, gok, bestIdx >= 0)
 		}
-		if gok && (gi != bestIdx || math.Abs(gt-bestT) > 1e-9) {
+		if gok && (gi != bestIdx || gt != bestT) {
 			t.Fatalf("ray %d: BVH (%v,%d) brute (%v,%d)", i, gt, gi, bestT, bestIdx)
 		}
+		if gok && (r.D.X == 0 || r.D.Y == 0 || r.D.Z == 0) {
+			flatHits++
+		}
+	}
+	if flatHits == 0 {
+		t.Fatal("no ray with a zero direction component hit anything")
+	}
+}
+
+// testRays returns random rays over the scene volume; every other one has
+// one or two direction components exactly zero, so box tests take the
+// flat-axis containment path.
+func testRays(n int, seed int64) []Ray {
+	rng := rand.New(rand.NewSource(seed))
+	rays := make([]Ray, n)
+	for i := range rays {
+		d := V3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		switch i % 6 {
+		case 1:
+			d.Y = 0
+		case 3:
+			d.X, d.Z = 0, 0
+		case 5:
+			d.Z = 0
+		}
+		rays[i] = Ray{
+			O: V3{-8 + 16*rng.Float64(), 6 * rng.Float64(), 4 - 18*rng.Float64()},
+			D: d.Unit(),
+		}
+	}
+	return rays
+}
+
+// TestBVHFlatRayOnBoxFace sends a ray with a zero Y component along the
+// bottom face of a box: the slab distances there are 0*Inf = NaN, so only
+// the containment test on the flat axis finds the triangle edge it hits.
+func TestBVHFlatRayOnBoxFace(t *testing.T) {
+	shapes := []Shape{
+		Triangle(V3{0, 0, -5}, V3{1, 0, -5}, V3{0.5, 1, -4.5}, 0),
+		Sphere(V3{3, 1, -6}, 1, 0),
+	}
+	bvh := BuildBVH(shapes)
+	r := Ray{O: V3{0.5, 0, 0}, D: V3{0, 0, -1}}
+	want, ok := shapes[0].Intersect(r)
+	if !ok {
+		t.Fatal("ray misses the triangle edge itself")
+	}
+	if got, idx, ok := bvh.Intersect(shapes, r, math.Inf(1)); !ok || idx != 0 || got != want {
+		t.Errorf("Intersect = (%v, %d, %v), want (%v, 0, true)", got, idx, ok, want)
+	}
+	if !bvh.Any(shapes, r, want+1) {
+		t.Error("Any missed the triangle edge")
+	}
+}
+
+func TestBVHAnyMatchesBruteForce(t *testing.T) {
+	scene := BuildScene(4, 80, 30)
+	var yes, no int
+	for i, r := range testRays(400, 13) {
+		for _, tMax := range []float64{1e-6, 0.5, 2, 5, 12, math.Inf(1)} {
+			want := false
+			for j := range scene.Shapes {
+				if scene.Shapes[j].Kind == kindPlane {
+					continue
+				}
+				if tt, ok := scene.Shapes[j].Intersect(r); ok && tt < tMax {
+					want = true
+					break
+				}
+			}
+			if got := scene.BVH.Any(scene.Shapes, r, tMax); got != want {
+				t.Fatalf("ray %d %v tMax %v: Any = %v, brute force %v", i, r, tMax, got, want)
+			}
+			if want {
+				yes++
+			} else {
+				no++
+			}
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Fatalf("sweep is one-sided: %d hits, %d misses", yes, no)
 	}
 }
 
@@ -309,6 +388,9 @@ func TestBVHEmptyAndPlaneOnlyScene(t *testing.T) {
 	if _, _, ok := s.BVH.Intersect(s.Shapes, Ray{O: V3{0, 1, 0}, D: V3{0, -1, 0}}, 1e18); ok {
 		t.Error("empty BVH reported a hit")
 	}
+	if s.BVH.Any(s.Shapes, Ray{O: V3{0, 1, 0}, D: V3{0, -1, 0}}, 1e18) {
+		t.Error("empty BVH reported an occluder")
+	}
 	col := s.Trace(Ray{O: V3{0, 1, 0}, D: V3{0, -1, 0}.Unit()}, 0)
 	if col.Norm() == 0 {
 		t.Error("plane-only scene rendered black")
@@ -317,5 +399,64 @@ func TestBVHEmptyAndPlaneOnlyScene(t *testing.T) {
 	bg := s.Trace(Ray{O: V3{0, 1, 0}, D: V3{0, 1, 0}}, 0)
 	if bg != s.Bg {
 		t.Errorf("sky color = %v, want background %v", bg, s.Bg)
+	}
+}
+
+// frameDigest is the FNV-64a digest of a whole single-threaded frame of
+// scene seen from the perfbench raytrace camera.
+func frameDigest(scene *Scene, w, h int) uint64 {
+	cam := NewCamera(V3{0, 3.5, 8}, V3{0, 0.8, -6}, 55, w, h)
+	f := fnv.New64a()
+	f.Write(RenderFrame(scene, cam))
+	return f.Sum64()
+}
+
+// TestRenderGolden pins the rendered pixels bitwise. A kernel change that
+// draws different pixels (a reordered floating-point sum, a different
+// tie-break between equal hits) fails here even though every renderer in
+// the repo agrees with itself.
+func TestRenderGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed               int64
+		spheres, triangles int
+		w, h               int
+		want               uint64
+	}{
+		{2012, 800, 400, 96, 96, 0x8bc5dbd611679dfd},
+		{99, 40, 12, 64, 48, 0x74e973c844a5559e},
+	} {
+		if got := frameDigest(BuildScene(c.seed, c.spheres, c.triangles), c.w, c.h); got != c.want {
+			t.Errorf("BuildScene(%d, %d, %d) at %dx%d: digest %016x, want %016x",
+				c.seed, c.spheres, c.triangles, c.w, c.h, got, c.want)
+		}
+	}
+}
+
+// Benchmark results land here so the compiler keeps the measured calls.
+var (
+	frameSink []uint8
+	bvhSink   *BVH
+)
+
+// BenchmarkRenderFrame renders the 96x96 golden frame of the perfbench
+// raytrace scene single-threaded: the kernel rung under kernel.render_ms.
+func BenchmarkRenderFrame(b *testing.B) {
+	scene := BuildScene(2012, 800, 400)
+	cam := NewCamera(V3{0, 3.5, 8}, V3{0, 0.8, -6}, 55, 96, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frameSink = RenderFrame(scene, cam)
+	}
+}
+
+// BenchmarkBuildBVH builds the BVH over the perfbench raytrace scene, the
+// part of the scene set-up that runs inside Single.
+func BenchmarkBuildBVH(b *testing.B) {
+	shapes := BuildScene(2012, 800, 400).Shapes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bvhSink = BuildBVH(shapes)
 	}
 }

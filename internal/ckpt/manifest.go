@@ -73,7 +73,10 @@ func encodePayload(rank int, names []string, datas [][]byte) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, ckptCRC))
 }
 
-// decodePayload parses and validates one rank's payload bytes.
+// decodePayload parses and validates one rank's payload bytes. Lengths
+// are checked against the bytes left before they are used, so no field
+// value, however large, can index past the buffer or size an allocation
+// beyond it; bytes after the last record are an error.
 func decodePayload(b []byte) (rank int, records map[string][]byte, err error) {
 	if len(b) < len(payloadMagic)+16 || string(b[:len(payloadMagic)]) != payloadMagic {
 		return 0, nil, fmt.Errorf("ckpt: payload magic missing")
@@ -87,27 +90,34 @@ func decodePayload(b []byte) (rank int, records map[string][]byte, err error) {
 		return 0, nil, fmt.Errorf("ckpt: payload format version %d (this build reads %d)", v, formatVersion)
 	}
 	rank = int(binary.LittleEndian.Uint32(body[off+4:]))
-	count := int(binary.LittleEndian.Uint32(body[off+8:]))
+	count := uint64(binary.LittleEndian.Uint32(body[off+8:]))
 	off += 12
+	// Each record takes at least its two length fields.
+	if count > uint64(len(body)-off)/12 {
+		return 0, nil, fmt.Errorf("ckpt: payload record count %d exceeds its %d bytes", count, len(body)-off)
+	}
 	records = make(map[string][]byte, count)
-	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
+	for i := uint64(0); i < count; i++ {
+		if len(body)-off < 4 {
 			return 0, nil, fmt.Errorf("ckpt: payload truncated in record %d", i)
 		}
-		nl := int(binary.LittleEndian.Uint32(body[off:]))
+		nl := uint64(binary.LittleEndian.Uint32(body[off:]))
 		off += 4
-		if off+nl+8 > len(body) {
+		if nl+8 > uint64(len(body)-off) {
 			return 0, nil, fmt.Errorf("ckpt: payload truncated in record %d", i)
 		}
-		name := string(body[off : off+nl])
-		off += nl
-		dl := int(binary.LittleEndian.Uint64(body[off:]))
+		name := string(body[off : off+int(nl)])
+		off += int(nl)
+		dl := binary.LittleEndian.Uint64(body[off:])
 		off += 8
-		if off+dl > len(body) {
+		if dl > uint64(len(body)-off) {
 			return 0, nil, fmt.Errorf("ckpt: payload truncated in record %q", name)
 		}
-		records[name] = body[off : off+dl]
-		off += dl
+		records[name] = body[off : off+int(dl)]
+		off += int(dl)
+	}
+	if off != len(body) {
+		return 0, nil, fmt.Errorf("ckpt: %d bytes after the last payload record", len(body)-off)
 	}
 	return rank, records, nil
 }

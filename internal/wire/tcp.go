@@ -50,25 +50,30 @@ const ackEvery = 32
 // maxPooledEnc bounds the encode buffers kept in the pool.
 const maxPooledEnc = 64 << 10
 
+// encPool holds encode buffers as the *[]byte they were first boxed in:
+// a buffer keeps that pointer for its whole life (encoded, queued in the
+// unacked ring, returned), so recycling one allocates nothing.
 var encPool sync.Pool
 
-func getEnc() []byte {
-	if v := encPool.Get(); v != nil {
-		return (*v.(*[]byte))[:0]
+// encode returns a pooled buffer holding the frame h with payload.
+func encode(h *Header, payload []byte) *[]byte {
+	bp, _ := encPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	return nil
+	*bp = AppendFrame((*bp)[:0], h, payload)
+	return bp
 }
 
-func putEnc(b []byte) {
-	if cap(b) > 0 && cap(b) <= maxPooledEnc {
-		b = b[:0]
-		encPool.Put(&b)
+func putEnc(bp *[]byte) {
+	if cap(*bp) <= maxPooledEnc {
+		encPool.Put(bp)
 	}
 }
 
 type encFrame struct {
 	seq uint64
-	buf []byte
+	buf *[]byte
 }
 
 // tcpPeer is the per-peer connection state. Two mutexes with a strict
@@ -235,8 +240,9 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	hh := *h
 	hh.Seq = p.sendSeq
 	hh.Ack = p.recvSeq.Load()
-	buf := AppendFrame(getEnc(), &hh, payload)
-	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: buf})
+	bp := encode(&hh, payload)
+	buf := *bp
+	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: bp})
 	t.inflight.Add(1)
 	if ob := t.cfg.Observer; ob != nil {
 		ob.InflightChanged(1)
@@ -302,15 +308,15 @@ func (p *tcpPeer) flushBatchLocked() error {
 	}
 	t := p.tr
 	h := Header{Type: TypeBatch, Ack: p.recvSeq.Load()}
-	buf := AppendFrame(getEnc(), &h, payload)
+	bp := encode(&h, payload)
 	p.batchBuf = p.batchBuf[:0]
 	t.batchesSent.Add(1)
 	t.batchedFrames.Add(uint64(n))
 	if bo, ok := t.cfg.Observer.(BatchObserver); ok {
 		bo.BatchFlushed(p.id, n, len(payload))
 	}
-	err := p.writeLocked(buf, TypeBatch, true)
-	putEnc(buf)
+	err := p.writeLocked(*bp, TypeBatch, true)
+	putEnc(bp)
 	return err
 }
 
@@ -521,9 +527,9 @@ func (p *tcpPeer) writeHelloLocked() error {
 		Ack:      p.recvSeq.Load(),
 		Ctx:      time.Now().UnixNano(),
 	}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypeHello, false)
-	putEnc(buf)
+	bp := encode(&h, nil)
+	err := p.writeLocked(*bp, TypeHello, false)
+	putEnc(bp)
 	return err
 }
 
@@ -598,7 +604,7 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	p.noteHelloLocked(h)
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
-		if err := p.writeLocked(ef.buf, TypeEager, false); err != nil {
+		if err := p.writeLocked(*ef.buf, TypeEager, false); err != nil {
 			p.severLocked(err)
 			p.sendMu.Unlock()
 			p.recvMu.Unlock()
@@ -632,9 +638,9 @@ func (p *tcpPeer) writePingLocked() {
 		Xid:  uint64(time.Now().UnixNano()),
 		Ack:  p.recvSeq.Load(),
 	}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypePing, false)
-	putEnc(buf)
+	bp := encode(&h, nil)
+	err := p.writeLocked(*bp, TypePing, false)
+	putEnc(bp)
 	if err != nil {
 		p.severLocked(err)
 	}
@@ -665,9 +671,9 @@ func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
 		Ack:    p.recvSeq.Load(),
 		SendTS: time.Now().UnixNano(),
 	}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypePong, false)
-	putEnc(buf)
+	bp := encode(&h, nil)
+	err := p.writeLocked(*bp, TypePong, false)
+	putEnc(bp)
 	if err != nil {
 		p.severLocked(err)
 	}
@@ -738,9 +744,9 @@ func (p *tcpPeer) sendAck() {
 		return
 	}
 	h := Header{Type: TypeAck, Ack: p.recvSeq.Load()}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypeAck, false)
-	putEnc(buf)
+	bp := encode(&h, nil)
+	err := p.writeLocked(*bp, TypeAck, false)
+	putEnc(bp)
 	if err != nil {
 		p.severLocked(err)
 	}
@@ -878,11 +884,15 @@ func (t *TCP) handleAccept(conn net.Conn) {
 func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	t := p.tr
 	var scratch [maxFrameRead]byte
+	// One header for the connection's life, not one per frame: &h reaches
+	// the sink through an interface, so it lives on the heap. No callee
+	// keeps the pointer (a delivered Frame copies the header).
+	var h Header
 	for {
 		if t.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout)) //nolint:errcheck
 		}
-		var h Header
+		h = Header{}
 		plen, err := readHeader(br, &h, &scratch)
 		if err != nil {
 			var ve *VersionError
